@@ -1,10 +1,12 @@
-"""Head-to-head codec microbenchmark: compact frames vs pickle.
+"""Codec microbenchmark: compact frames vs their pickle fallback.
 
 Measures encode and decode ops/second and bytes/entry for the entry
 shapes the framework actually ships — a selective template, a seeded
-task, and a payload-bearing result — under both codecs, plus the WAL
-commit-record frame path (``record_frame``).  Wall-clock only; nothing
-is written to BENCH_micro.json (run_micro carries the gated cells).
+task, and a payload-bearing result — as compact frames and as the
+whole-object pickle frames unregistered classes fall back to, plus the
+WAL commit-record frame path (``record_frame``).  Wall-clock only;
+nothing is written to BENCH_micro.json (run_micro carries the gated
+cells).
 
 Usage::
 
@@ -65,17 +67,17 @@ def run(n: int, rounds: int) -> None:
     record = CommitRecord(
         lsn=1, epoch=3,
         ops=(op_write(7, encode_entry(SHAPES["task"]), float("inf")),))
-    for codec in ("compact", "pickle"):
-        def frame():
-            # record_frame caches on the instance; strip the cache so the
-            # benchmark measures encoding, not a dict lookup.
-            record.__dict__.pop("_frame", None)
-            return record_frame(record, codec)
 
-        data = record_frame(record, codec)
-        rate = _best(frame, n, rounds)
-        print(f"{'wal-frame':>10} {codec:>8} {rate:>12.0f} {'-':>12} "
-              f"{len(data):>6}")
+    def frame():
+        # record_frame caches on the instance; strip the cache so the
+        # benchmark measures encoding, not a dict lookup.
+        record.__dict__.pop("_frame", None)
+        return record_frame(record)
+
+    data = record_frame(record)
+    rate = _best(frame, n, rounds)
+    print(f"{'wal-frame':>10} {'compact':>8} {rate:>12.0f} {'-':>12} "
+          f"{len(data):>6}")
 
 
 def main() -> None:

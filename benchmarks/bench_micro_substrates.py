@@ -17,7 +17,7 @@ from repro.sim import SimKernel
 from repro.snmp import GetResponse, Oid
 from repro.snmp.pdu import decode_message, encode_message
 from repro.tuplespace import JavaSpace
-from tests.tuplespace.entries import TaskEntry
+from benchmarks._entries import TaskEntry
 
 
 def test_micro_space_write_take_throughput(benchmark):

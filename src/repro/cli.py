@@ -195,10 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1,
                    help="partition the space over N shards "
                         "(kill-shard:<i> needs i < N)")
-    p.add_argument("--codec", choices=["pickle", "compact"],
-                   default="pickle",
-                   help="entry/WAL codec for the run; the recovery trace "
-                        "must be byte-identical under either")
     p.add_argument("--tenants", type=_tenant_count, default=None,
                    metavar="N",
                    help="run the multi-tenant contention campaign instead: "
@@ -411,7 +407,7 @@ def _chaos(args) -> int:
     result = chaos_experiment(seed=args.seed, workers=args.workers,
                               tasks=args.tasks, random_plan=args.random_plan,
                               prefetch=args.prefetch, trace=args.trace,
-                              shards=args.shards, codec=args.codec)
+                              shards=args.shards)
     print(result.format_summary())
     _write_telemetry(result, args.trace_out if args.trace else None,
                      args.metrics_out)
@@ -428,8 +424,7 @@ def _chaos(args) -> int:
                                       random_plan=args.random_plan,
                                       prefetch=args.prefetch,
                                       trace=args.trace,
-                                      shards=args.shards,
-                                      codec=args.codec)
+                                      shards=args.shards)
         print(f"determinism: {'identical traces' if ok else 'TRACES DIVERGED'}")
         if not ok:
             if result.flight is not None:
@@ -448,7 +443,7 @@ def _coordination_chaos(args) -> int:
     result = coordination_chaos_experiment(
         seed=args.seed, workers=args.workers, tasks=args.tasks,
         faults=args.faults, prefetch=args.prefetch, trace=args.trace,
-        shards=args.shards, codec=args.codec,
+        shards=args.shards,
     )
     print(result.format_summary())
     _write_telemetry(result, args.trace_out if args.trace else None,
@@ -464,7 +459,7 @@ def _coordination_chaos(args) -> int:
         ok = verify_coordination_determinism(
             seed=args.seed, workers=args.workers, tasks=args.tasks,
             faults=args.faults, prefetch=args.prefetch, trace=args.trace,
-            shards=args.shards, codec=args.codec,
+            shards=args.shards,
         )
         print(f"determinism: {'identical traces' if ok else 'TRACES DIVERGED'}")
         if not ok:
@@ -485,7 +480,6 @@ def _contention_chaos(args) -> int:
     result = contention_chaos_experiment(
         seed=args.seed, workers=args.workers, tenants=args.tenants,
         prefetch=args.prefetch, trace=args.trace, shards=args.shards,
-        codec=args.codec,
     )
     print(result.format_summary())
     _write_telemetry(result, args.trace_out if args.trace else None,
@@ -512,8 +506,7 @@ def _contention_chaos(args) -> int:
         ok = verify_contention_determinism(
             seed=args.seed, workers=args.workers, tenants=args.tenants,
             prefetch=args.prefetch, trace=args.trace, shards=args.shards,
-            codec=args.codec,
-        )
+            )
         print(f"determinism: {'identical traces' if ok else 'TRACES DIVERGED'}")
         if not ok:
             if result.flight is not None:

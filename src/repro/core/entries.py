@@ -147,7 +147,7 @@ class DeadLetterEntry(Entry):
 # Compact-codec schemas: one registration per class, fields in
 # constructor order (the canonical encoding order).  Registration is a
 # pure declaration — instances still pickle fine, and unregistered
-# subclasses simply stay on the pickle path.
+# subclasses simply take the codec's pickle fallback.
 register_entry(TaskEntry)
 register_entry(ResultEntry)
 register_entry(MasterCheckpointEntry)

@@ -105,12 +105,6 @@ class FrameworkConfig:
     wal_fsync_policy: str = "always"        # durability barrier: always|group|os
     wal_group_size: int = 64                # group-commit size watermark
     wal_group_ms: Optional[float] = None    # group-commit time watermark
-    #: Entry/WAL frame encoding: ``"pickle"`` (general, the determinism
-    #: reference) or ``"compact"`` (schema-registered zero-copy frames;
-    #: see DESIGN.md §13).  Applies to the space, every proxy, and the
-    #: WAL; persisted logs replay under either setting (mixed-frame
-    #: decode).
-    codec: str = "pickle"
 
     # -- sharding (see DESIGN.md §10 "Sharded space") ------------------------
     #: Number of tuple-space partitions.  1 = the classic single space.
@@ -226,9 +220,6 @@ class AdaptiveClusterFramework:
         if self.config.shards < 1:
             raise ConfigurationError(
                 f"shards must be >= 1: {self.config.shards}")
-        if self.config.codec not in ("pickle", "compact"):
-            raise ConfigurationError(
-                f"codec must be 'pickle' or 'compact': {self.config.codec!r}")
         if self.config.shard_placement not in ("master", "spread", "dedicated"):
             raise ConfigurationError(
                 f"shard_placement must be 'master', 'spread' or "
@@ -396,9 +387,8 @@ class AdaptiveClusterFramework:
                 fsync_policy=config.wal_fsync_policy,
                 group_size=config.wal_group_size,
                 group_commit_ms=config.wal_group_ms,
-                codec=config.codec,
             )
-        return JavaSpace(self.runtime, name=name, codec=config.codec)
+        return JavaSpace(self.runtime, name=name)
 
     def _space_locator(self, host: str,
                        shard: Optional[int] = None) -> JiniSpaceLocator:
@@ -430,7 +420,6 @@ class AdaptiveClusterFramework:
             ring=self.ring, recovery=recovery, rng=rng,
             metrics=self.metrics, locators=locators, tracer=self.tracer,
             scatter_block_ms=self.config.scatter_block_ms,
-            codec=self.config.codec,
         )
 
     def _build_master(self) -> Master:
@@ -465,7 +454,7 @@ class AdaptiveClusterFramework:
                 self.cluster.network, self.cluster.master.hostname,
                 self.space_address, metrics=self.metrics,
                 locator=self._space_locator(self.cluster.master.hostname),
-                tracer=self.tracer, codec=config.codec,
+                tracer=self.tracer,
             )
             space = self._master_proxy
             retry_ms = config.failover_heartbeat_ms
@@ -479,7 +468,6 @@ class AdaptiveClusterFramework:
             self._master_proxy = SpaceProxy(
                 self.cluster.network, self.cluster.master.hostname,
                 self.space_address, metrics=self.metrics, tracer=self.tracer,
-                codec=config.codec,
             )
             space = self._master_proxy
         if config.admission and retry_ms is None:
@@ -543,7 +531,6 @@ class AdaptiveClusterFramework:
                 metrics=self.metrics, tracer=self.tracer,
                 locator=(self._space_locator(host)
                          if config.hot_standby else None),
-                codec=config.codec,
             )
         self._tenant_proxies.append(space)
         if self.history is not None:
@@ -759,7 +746,6 @@ class AdaptiveClusterFramework:
                     metrics=self.metrics,
                     sync_replication=config.sync_replication,
                     repl_ack_timeout_ms=config.repl_ack_timeout_ms,
-                    codec=config.codec,
                 )
                 standby.start()
                 self.standbys.append(standby)
@@ -881,7 +867,6 @@ class AdaptiveClusterFramework:
                 locator=locator,
                 recovery_rng=recovery_rng,
                 space_factory=space_factory,
-                codec=config.codec,
             )
             host.space_wrapper = space_wrapper
             host.start()

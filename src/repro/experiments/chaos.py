@@ -186,7 +186,6 @@ def chaos_experiment(
     prefetch: int = 1,
     trace: bool = False,
     shards: int = 1,
-    codec: str = "pickle",
 ) -> ChaosResult:
     """Run the acceptance scenario; fully replayable from ``seed``.
 
@@ -226,7 +225,6 @@ def chaos_experiment(
                 trace=trace,
                 shards=max(1, shards),
                 record_history=True,
-                codec=codec,
             ),
         )
         framework.start()
@@ -430,7 +428,6 @@ def coordination_chaos_experiment(
     prefetch: int = 1,
     trace: bool = False,
     shards: int = 1,
-    codec: str = "pickle",
 ) -> CoordinationChaosResult:
     """Kill the space primary and/or the master mid-run; the job must
     still complete every task exactly-once.  Replayable from ``seed``.
@@ -476,7 +473,6 @@ def coordination_chaos_experiment(
                 # fencing has nothing to bite on.
                 shard_placement="spread" if shards > 1 else "master",
                 record_history=True,
-                codec=codec,
             ),
         )
         framework.start()
@@ -704,7 +700,6 @@ def contention_chaos_experiment(
     shards: int = 1,
     preemption_poll_ms: float = 500.0,
     fault_plan: Optional[FaultPlan] = None,
-    codec: str = "pickle",
 ) -> ContentionResult:
     """``tenants`` masters share one deployment; one floods 10x its quota.
 
@@ -765,7 +760,6 @@ def contention_chaos_experiment(
                 preemption=True,
                 preemption_poll_ms=preemption_poll_ms,
                 preemption_priority_cutoff=1,
-                codec=codec,
             ),
         )
         framework.start()

@@ -19,6 +19,7 @@ paper's workers survive their own 100 % compute spikes, see Fig. 10).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional
 
 from repro.errors import SimulationError
@@ -28,6 +29,10 @@ __all__ = ["CpuModel", "UtilizationRecorder"]
 
 #: Reference machine speed for work units (the paper's 800 MHz PIII).
 REFERENCE_MHZ = 800.0
+
+
+def _step_time(step: tuple[float, float, float]) -> float:
+    return step[0]
 
 
 class UtilizationRecorder:
@@ -63,10 +68,14 @@ class UtilizationRecorder:
         if now <= start:
             _, total, ext = self._steps[-1]
             return ext if external else total
-        index = 1 if external else 0
+        steps = self._steps
+        # Steps that end at or before ``start`` add no area, so the
+        # integration begins at the step covering ``start``.
+        first = max(0, bisect_right(steps, start, key=_step_time) - 1)
         area = 0.0
-        for i, (t, total, ext) in enumerate(self._steps):
-            t_next = self._steps[i + 1][0] if i + 1 < len(self._steps) else now
+        for i in range(first, len(steps)):
+            t, total, ext = steps[i]
+            t_next = steps[i + 1][0] if i + 1 < len(steps) else now
             lo, hi = max(t, start), min(t_next, now)
             if hi > lo:
                 area += (ext if external else total) * (hi - lo)

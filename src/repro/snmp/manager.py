@@ -2,7 +2,9 @@
 
 The paper's monitoring agent calls into this layer (there via JNI; here
 directly) to fetch system parameters such as CPU load from registered
-workers.
+workers.  Every monitor loop shares one manager, so each agent gets its
+own datagram socket: a response lands on the socket of the poller
+waiting for it, never on one that would discard it as someone else's.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Any, Optional
 
 from repro.errors import NoSuchOidError, SnmpError, TimeoutError_
 from repro.net.address import Address
-from repro.net.network import Network
+from repro.net.network import DatagramSocket, Network
 from repro.runtime.base import Runtime
 from repro.snmp.agent import SNMP_PORT
 from repro.snmp.oid import Oid
@@ -48,11 +50,16 @@ class SnmpManager:
         self.timeout_ms = timeout_ms
         self.retries = retries
         self._request_ids = itertools.count(1)
-        self._socket = network.bind_datagram(network.ephemeral(host))
+        #: Agent address → the socket its requests go out on (bound on
+        #: first use), so concurrent polls of different agents never
+        #: read each other's responses.
+        self._sockets: dict[Address, DatagramSocket] = {}
         self.stats = {"requests": 0, "retries": 0, "timeouts": 0}
 
     def close(self) -> None:
-        self._socket.close()
+        for sock in self._sockets.values():
+            sock.close()
+        self._sockets.clear()
 
     # -- public operations ------------------------------------------------------
 
@@ -158,21 +165,29 @@ class SnmpManager:
 
     # -- plumbing -----------------------------------------------------------------
 
+    def _socket_for(self, agent: Address) -> DatagramSocket:
+        sock = self._sockets.get(agent)
+        if sock is None:
+            sock = self._sockets[agent] = self.network.bind_datagram(
+                self.network.ephemeral(self.host))
+        return sock
+
     def _transact(self, agent: Address, request) -> Any:
         """Send with retries; match the response by request id."""
+        sock = self._socket_for(agent)
         data = encode_message(request)
         attempts = self.retries + 1
         for attempt in range(attempts):
             self.stats["requests"] += 1
             if attempt > 0:
                 self.stats["retries"] += 1
-            self._socket.send_to(agent, data)
+            sock.send_to(agent, data)
             deadline = self.runtime.now() + self.timeout_ms
             while True:
                 remaining = deadline - self.runtime.now()
                 if remaining <= 0:
                     break
-                received = self._socket.receive(timeout_ms=remaining)
+                received = sock.receive(timeout_ms=remaining)
                 if received is None:
                     break
                 payload, _sender = received

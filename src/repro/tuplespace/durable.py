@@ -61,13 +61,11 @@ class DurableSpace(JavaSpace):
         fsync_policy: str = "always",
         group_size: int = 64,
         group_commit_ms: Optional[float] = None,
-        codec: str = "pickle",
     ) -> None:
-        super().__init__(runtime, name, codec=codec)
+        super().__init__(runtime, name)
         if wal is None:
             wal = WriteAheadLog(
-                WalStore(fsync_policy=fsync_policy, group_size=group_size,
-                         codec=codec),
+                WalStore(fsync_policy=fsync_policy, group_size=group_size),
                 group_ms=group_commit_ms,
             )
         self.wal = wal
@@ -86,18 +84,11 @@ class DurableSpace(JavaSpace):
         name: str = "JavaSpaces",
         snapshot_every: Optional[int] = 64,
         group_commit_ms: Optional[float] = None,
-        codec: str = "pickle",
     ) -> "DurableSpace":
-        """Rebuild the last committed state from a surviving WAL store.
-
-        ``codec`` only governs *new* bytes; the replayed log may hold
-        frames from either codec (decode dispatches per frame), so
-        recovering a pickle-era store under ``codec="compact"`` works.
-        """
-        store.codec = codec  # new frames adopt the recovering space's codec
+        """Rebuild the last committed state from a surviving WAL store."""
         space = cls(runtime, name,
                     wal=WriteAheadLog(store, group_ms=group_commit_ms),
-                    snapshot_every=snapshot_every, codec=codec)
+                    snapshot_every=snapshot_every)
         space._replay()
         return space
 
@@ -230,7 +221,6 @@ class HotStandby:
         metrics: Any = None,
         sync_replication: bool = False,
         repl_ack_timeout_ms: float = 500.0,
-        codec: str = "pickle",
     ) -> None:
         self.runtime = runtime
         self.network = network
@@ -238,7 +228,7 @@ class HotStandby:
         self.primary_address = primary_address
         self.address = address
         self.space = DurableSpace(runtime, name=name,
-                                  snapshot_every=snapshot_every, codec=codec)
+                                  snapshot_every=snapshot_every)
         self.retry_ms = retry_ms
         self.max_retries = max_retries
         self.metrics = metrics

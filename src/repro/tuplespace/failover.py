@@ -352,7 +352,6 @@ class SpaceSupervisor:
             metrics=self.metrics,
             sync_replication=self.standby.sync_replication,
             repl_ack_timeout_ms=self.standby.repl_ack_timeout_ms,
-            codec=self.standby.space.codec,
         )
         rejoined.start()
         self._spawned_standbys.append(rejoined)

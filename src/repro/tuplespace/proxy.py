@@ -30,7 +30,7 @@ from repro.runtime.base import Runtime
 from repro.tuplespace.entry import Entry
 from repro.tuplespace.events import RemoteEvent
 from repro.tuplespace.lease import FOREVER
-from repro.tuplespace.space import CODECS, JavaSpace
+from repro.tuplespace.space import JavaSpace
 from repro.tuplespace.transaction import Transaction, TransactionManager
 from repro.util.codec import decode_any, encode_entry
 
@@ -168,17 +168,13 @@ class AdmissionController:
         The whole operation is judged before any of it executes, so a
         mixed ``write_all`` is all-or-nothing.
         """
-        # Pre-encoded writes (codec="compact" proxies) ship frames, not
-        # instances; admission decodes them — the controlled-class check
-        # needs the tenant field, and compact decode is cheap.
+        # Writes ship encoded frames, not instances; admission decodes
+        # them — the controlled-class check needs the tenant field, and
+        # compact decode is cheap.
         if op == "write":
-            data = args.get("entry_data")
-            entries = ([decode_any(data)] if data is not None
-                       else [args["entry"]])
+            entries = [decode_any(args["entry_data"])]
         elif op == "write_all":
-            datas = args.get("entries_data")
-            entries = ([decode_any(d) for d in datas] if datas is not None
-                       else args["entries"])
+            entries = [decode_any(d) for d in args["entries_data"]]
         else:
             return
         if args.get("requeue"):
@@ -344,6 +340,34 @@ def _raise_remote(reply: dict[str, Any], label: str) -> None:
         raise exc_cls(message)
     raise SpaceError(
         f"remote {label} failed: {reply.get('type')}: {reply.get('error')}")
+
+
+def _encode_checked(entry: Entry) -> bytes:
+    if not isinstance(entry, Entry):
+        raise SpaceError(f"not an Entry: {type(entry).__name__}")
+    return encode_entry(entry)
+
+
+def _write_args(entry: Entry, txn: Optional["RemoteTransaction"],
+                lease_ms: float, requeue: bool) -> dict[str, Any]:
+    args = {"entry_data": _encode_checked(entry), "lease_ms": lease_ms,
+            "txn_id": txn.txn_id if txn else None}
+    if requeue:
+        # Worker re-queue of already-admitted tasks: exempt from
+        # admission control (shedding it would break exactly-once).
+        args["requeue"] = True
+    return args
+
+
+def _write_all_args(entries: list[Entry],
+                    txn: Optional["RemoteTransaction"], lease_ms: float,
+                    requeue: bool) -> dict[str, Any]:
+    args = {"entries_data": [_encode_checked(e) for e in entries],
+            "lease_ms": lease_ms, "txn_id": txn.txn_id if txn else None}
+    if requeue:
+        args["requeue"] = True
+    return args
+
 
 #: Operations exempt from epoch/lease fencing: probes must reach a fenced
 #: server (that is how supervisors and demoted standbys talk to it), the
@@ -647,30 +671,22 @@ class SpaceServer:
 
     # -- per-op handlers, bound through the _DISPATCH table ---------------------
 
+    # Entries cross the wire as frames both ways: the client encodes a
+    # write once and the space stores those bytes verbatim; read/take
+    # replies ship the stored frame as-is for a single client decode.
+
     def _op_write(self, args, txn, transactions, conn) -> Any:
-        data = args.get("entry_data")
-        if data is not None:
-            # Zero-copy path: the client already encoded the entry; the
-            # space stores those bytes verbatim.
-            lease = self.space.write_encoded(data, txn=txn,
-                                             lease_ms=args["lease_ms"])
-        else:
-            lease = self.space.write(args["entry"], txn=txn,
-                                     lease_ms=args["lease_ms"])
+        lease = self.space.write_encoded(args["entry_data"], txn=txn,
+                                         lease_ms=args["lease_ms"])
         return {"remaining_ms": lease.remaining_ms()}
 
     def _op_read(self, args, txn, transactions, conn) -> Any:
-        if args.get("raw"):
-            return self.space.read_encoded(args["template"], txn=txn,
-                                           timeout_ms=args["timeout_ms"])
-        return self.space.read(args["template"], txn=txn, timeout_ms=args["timeout_ms"])
+        return self.space.read_encoded(args["template"], txn=txn,
+                                       timeout_ms=args["timeout_ms"])
 
     def _op_take(self, args, txn, transactions, conn) -> Any:
-        if args.get("raw"):
-            # The stored frame ships as-is; the client decodes once.
-            return self.space.take_encoded(args["template"], txn=txn,
-                                           timeout_ms=args["timeout_ms"])
-        return self.space.take(args["template"], txn=txn, timeout_ms=args["timeout_ms"])
+        return self.space.take_encoded(args["template"], txn=txn,
+                                       timeout_ms=args["timeout_ms"])
 
     def _op_count(self, args, txn, transactions, conn) -> Any:
         return self.space.count(args["template"], txn=txn)
@@ -683,22 +699,12 @@ class SpaceServer:
                                timeout_ms=args["timeout_ms"]) is not None
 
     def _op_write_all(self, args, txn, transactions, conn) -> Any:
-        datas = args.get("entries_data")
-        if datas is not None:
-            leases = self.space.write_all_encoded(datas, txn=txn,
-                                                  lease_ms=args["lease_ms"])
-        else:
-            leases = self.space.write_all(args["entries"], txn=txn,
-                                          lease_ms=args["lease_ms"])
+        leases = self.space.write_all_encoded(args["entries_data"], txn=txn,
+                                              lease_ms=args["lease_ms"])
         return {"count": len(leases)}
 
     def _op_take_multiple(self, args, txn, transactions, conn) -> Any:
-        if args.get("raw"):
-            return self.space.take_multiple_encoded(
-                args["template"], args["max_entries"], txn=txn,
-                timeout_ms=args["timeout_ms"],
-            )
-        return self.space.take_multiple(
+        return self.space.take_multiple_encoded(
             args["template"], args["max_entries"], txn=txn,
             timeout_ms=args["timeout_ms"],
         )
@@ -1006,8 +1012,8 @@ class ProxyBatch:
         self._proxy = proxy
         self._ops: list[tuple[str, dict[str, Any]]] = []
         self._post: list[tuple[int, Callable[[Any], None]]] = []
-        #: Sub-op index → reply shape on the zero-copy wire path:
-        #: "one" (a single raw frame or None) or "many" (a frame list).
+        #: Sub-op index → shape of its frame reply: "one" (a single
+        #: frame or None) or "many" (a frame list).
         self._decode: dict[int, str] = {}
 
     def __len__(self) -> int:
@@ -1024,69 +1030,38 @@ class ProxyBatch:
 
     def write(self, entry: Entry, txn: Optional["RemoteTransaction"] = None,
               lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        if self._proxy._compact:
-            if not isinstance(entry, Entry):
-                raise SpaceError(f"not an Entry: {type(entry).__name__}")
-            args = {"entry_data": encode_entry(entry), "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        else:
-            args = {"entry": entry, "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        if requeue:
-            args["requeue"] = True
-        return self._add("write", args)
+        return self._add("write", _write_args(entry, txn, lease_ms, requeue))
 
     def write_all(self, entries: list[Entry],
                   txn: Optional["RemoteTransaction"] = None,
                   lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        if self._proxy._compact:
-            for entry in entries:
-                if not isinstance(entry, Entry):
-                    raise SpaceError(f"not an Entry: {type(entry).__name__}")
-            args = {"entries_data": [encode_entry(e) for e in entries],
-                    "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        else:
-            args = {"entries": entries, "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        if requeue:
-            args["requeue"] = True
-        return self._add("write_all", args)
+        return self._add("write_all",
+                         _write_all_args(entries, txn, lease_ms, requeue))
+
+    def _add_fetch(self, op: str, args: dict[str, Any], shape: str) -> int:
+        index = self._add(op, args)
+        self._decode[index] = shape
+        return index
 
     def read(self, template: Entry, txn: Optional["RemoteTransaction"] = None,
              timeout_ms: Optional[float] = 0.0) -> int:
-        args = {"template": template, "timeout_ms": timeout_ms,
-                "txn_id": txn.txn_id if txn else None}
-        if self._proxy._compact:
-            args["raw"] = True
-            index = self._add("read", args)
-            self._decode[index] = "one"
-            return index
-        return self._add("read", args)
+        return self._add_fetch("read", {
+            "template": template, "timeout_ms": timeout_ms,
+            "txn_id": txn.txn_id if txn else None}, "one")
 
     def take(self, template: Entry, txn: Optional["RemoteTransaction"] = None,
              timeout_ms: Optional[float] = 0.0) -> int:
-        args = {"template": template, "timeout_ms": timeout_ms,
-                "txn_id": txn.txn_id if txn else None}
-        if self._proxy._compact:
-            args["raw"] = True
-            index = self._add("take", args)
-            self._decode[index] = "one"
-            return index
-        return self._add("take", args)
+        return self._add_fetch("take", {
+            "template": template, "timeout_ms": timeout_ms,
+            "txn_id": txn.txn_id if txn else None}, "one")
 
     def take_multiple(self, template: Entry, max_entries: int,
                       txn: Optional["RemoteTransaction"] = None,
                       timeout_ms: Optional[float] = 0.0) -> int:
-        args = {"template": template, "max_entries": max_entries,
-                "timeout_ms": timeout_ms,
-                "txn_id": txn.txn_id if txn else None}
-        if self._proxy._compact:
-            args["raw"] = True
-            index = self._add("take_multiple", args)
-            self._decode[index] = "many"
-            return index
-        return self._add("take_multiple", args)
+        return self._add_fetch("take_multiple", {
+            "template": template, "max_entries": max_entries,
+            "timeout_ms": timeout_ms,
+            "txn_id": txn.txn_id if txn else None}, "many")
 
     def count(self, template: Entry) -> int:
         return self._add("count", {"template": template, "txn_id": None})
@@ -1168,21 +1143,14 @@ class SpaceProxy:
         metrics: Any = None,
         locator: Optional[Callable[[], Optional[Address]]] = None,
         tracer: Any = None,
-        codec: str = "pickle",
     ) -> None:
-        if codec not in CODECS:
-            raise SpaceError(f"unknown codec {codec!r}; expected one of {CODECS}")
+        # Entries are encoded once here (``entry_data``/``entries_data``
+        # request fields) and take/read replies carry the server's stored
+        # frames for a single decode here.  Templates always travel as
+        # live objects — the server matches on their fields.
         self.network = network
         self.host = host
         self.server_address = server_address
-        #: ``"compact"`` turns on the zero-copy wire path: entries are
-        #: encoded once client-side (``entry_data``/``entries_data``
-        #: request fields), and take/read replies ship the server's
-        #: stored frames (``raw`` flag) for a single decode here.
-        #: Templates always travel as live objects — the server matches
-        #: on their fields.
-        self.codec = codec
-        self._compact = codec == "compact"
         self.recovery = recovery
         self._rng = rng
         self._metrics = metrics
@@ -1442,39 +1410,21 @@ class SpaceProxy:
     def write(self, entry: Entry, txn: Optional[RemoteTransaction] = None,
               lease_ms: float = FOREVER,
               requeue: bool = False) -> dict[str, Any]:
-        if self._compact:
-            if not isinstance(entry, Entry):
-                raise SpaceError(f"not an Entry: {type(entry).__name__}")
-            args = {"entry_data": encode_entry(entry), "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        else:
-            args = {"entry": entry, "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        if requeue:
-            # Worker re-queue of already-admitted tasks: exempt from
-            # admission control (shedding it would break exactly-once).
-            args["requeue"] = True
-        return self._call("write", args)
+        return self._call("write", _write_args(entry, txn, lease_ms, requeue))
 
     def read(self, template: Entry, txn: Optional[RemoteTransaction] = None,
              timeout_ms: Optional[float] = None) -> Optional[Entry]:
-        args = {"template": template, "timeout_ms": timeout_ms,
-                "txn_id": txn.txn_id if txn else None}
-        if self._compact:
-            args["raw"] = True
-            value = self._call("read", args)
-            return decode_any(value) if value is not None else None
-        return self._call("read", args)
+        value = self._call("read", {"template": template,
+                                    "timeout_ms": timeout_ms,
+                                    "txn_id": txn.txn_id if txn else None})
+        return decode_any(value) if value is not None else None
 
     def take(self, template: Entry, txn: Optional[RemoteTransaction] = None,
              timeout_ms: Optional[float] = None) -> Optional[Entry]:
-        args = {"template": template, "timeout_ms": timeout_ms,
-                "txn_id": txn.txn_id if txn else None}
-        if self._compact:
-            args["raw"] = True
-            value = self._call("take", args)
-            return decode_any(value) if value is not None else None
-        return self._call("take", args)
+        value = self._call("take", {"template": template,
+                                    "timeout_ms": timeout_ms,
+                                    "txn_id": txn.txn_id if txn else None})
+        return decode_any(value) if value is not None else None
 
     def read_if_exists(self, template: Entry, txn: Optional[RemoteTransaction] = None):
         return self.read(template, txn, timeout_ms=0.0)
@@ -1497,19 +1447,8 @@ class SpaceProxy:
     def write_all(self, entries: list[Entry],
                   txn: Optional[RemoteTransaction] = None,
                   lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        if self._compact:
-            for entry in entries:
-                if not isinstance(entry, Entry):
-                    raise SpaceError(f"not an Entry: {type(entry).__name__}")
-            args = {"entries_data": [encode_entry(e) for e in entries],
-                    "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        else:
-            args = {"entries": entries, "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        if requeue:
-            args["requeue"] = True
-        reply = self._call("write_all", args)
+        reply = self._call("write_all",
+                           _write_all_args(entries, txn, lease_ms, requeue))
         return reply["count"]
 
     def take_multiple(self, template: Entry, max_entries: int,
@@ -1518,10 +1457,7 @@ class SpaceProxy:
         args = {"template": template, "max_entries": max_entries,
                 "timeout_ms": timeout_ms,
                 "txn_id": txn.txn_id if txn else None}
-        if self._compact:
-            args["raw"] = True
-            return [decode_any(v) for v in self._call("take_multiple", args)]
-        return self._call("take_multiple", args)
+        return [decode_any(v) for v in self._call("take_multiple", args)]
 
     def contents(self, template: Entry,
                  txn: Optional[RemoteTransaction] = None) -> list[Entry]:

@@ -17,8 +17,8 @@ per call and free when every lease is FOREVER.
 
 Isolation: entries are serialized at ``write`` and a private snapshot is
 deserialized *lazily* the first time field matching needs it — a
-class-only template (the master/worker hot path) never pays the second
-pickle pass at all.  Callers still never share mutable state through the
+class-only template (the master/worker hot path) never pays the decode
+at all.  Callers still never share mutable state through the
 space: every ``read``/``take`` returns a fresh copy deserialized from the
 stored bytes, the behaviour of the real JavaSpaces proxy.
 """
@@ -37,15 +37,10 @@ from repro.tuplespace.events import EventRegistration, RemoteEvent
 from repro.tuplespace.lease import FOREVER, Lease
 from repro.tuplespace.transaction import Transaction
 from repro.util.codec import decode_any, encode_entry, peek_class
-from repro.util.serialization import serialize
+# Unused here, but the host-time ledger patches this name by module.
+from repro.util.serialization import serialize  # noqa: F401
 
-__all__ = ["JavaSpace", "CODECS"]
-
-#: Supported entry codecs.  ``pickle`` is the determinism reference;
-#: ``compact`` is the fast positional codec (see ``repro.util.codec``).
-#: Decoding always accepts both frame kinds, so the knob only picks what
-#: *new* bytes look like.
-CODECS = ("pickle", "compact")
+__all__ = ["JavaSpace"]
 
 
 #: Stat keys, in exposition order.  Each maps to a plain ``_stat_<key>``
@@ -183,16 +178,7 @@ class JavaSpace:
     #: base space never pays for the hook.
     journaling = False
 
-    def __init__(self, runtime: Runtime, name: str = "JavaSpaces",
-                 codec: str = "pickle") -> None:
-        if codec not in CODECS:
-            raise SpaceError(f"unknown codec {codec!r}; expected one of {CODECS}")
-        self.codec = codec
-        self._serialize = encode_entry if codec == "compact" else serialize
-        # Decoding dispatches on the frame's first byte, so a space always
-        # reads bytes written under either codec (WAL replay across a
-        # codec switch, mixed-codec clients).
-        self._deserialize = decode_any
+    def __init__(self, runtime: Runtime, name: str = "JavaSpaces") -> None:
         self.runtime = runtime
         self.name = name
         self._lock = runtime.lock()
@@ -268,7 +254,7 @@ class JavaSpace:
         """
         if not isinstance(entry, Entry):
             raise SpaceError(f"not an Entry: {type(entry).__name__}")
-        data = self._serialize(entry)           # enforces serializability
+        data = encode_entry(entry)              # enforces serializability
         with self._lock:
             stored = self._store(type(entry), data, lease_ms, entry)
             if txn is not None:
@@ -295,8 +281,8 @@ class JavaSpace:
         The zero-copy server path: a proxy client encoded the entry once,
         the bytes travelled the wire, and the space stores them verbatim
         (compact frames don't even decode — the class comes from the
-        frame header; pickle frames decode once for the class and keep
-        the instance as the matching snapshot).
+        frame header; pickle-fallback frames decode once for the class
+        and keep the instance as the matching snapshot).
         """
         entry: Optional[Entry] = None
         cls = peek_class(data)
@@ -430,7 +416,7 @@ class JavaSpace:
 
     def snapshot(self, template: Entry) -> Entry:
         """Pre-serialized template (here: an isolated copy)."""
-        return self._deserialize(self._serialize(template))
+        return decode_any(encode_entry(template))
 
     # -- batch operations (JavaSpaces05-style extensions) ---------------------
 
@@ -452,7 +438,7 @@ class JavaSpace:
         for entry in entries:
             if not isinstance(entry, Entry):
                 raise SpaceError(f"not an Entry: {type(entry).__name__}")
-        serialized = [self._serialize(entry) for entry in entries]
+        serialized = [encode_entry(entry) for entry in entries]
         with self._lock:
             ops = None
             if txn is not None:
@@ -549,7 +535,7 @@ class JavaSpace:
         iterator; does not lock or remove anything)."""
         with self._lock:
             self._reap_expired()
-            return [self._deserialize(stored.data)
+            return [decode_any(stored.data)
                     for stored in self._iter_matching(template, txn)]
 
     def _acquire_batch(
@@ -647,7 +633,7 @@ class JavaSpace:
             # Zero-copy reply path: the stored bytes ship as-is and the
             # far side decodes once.  Isolation holds — bytes are immutable.
             return stored.data
-        return self._deserialize(stored.data)
+        return decode_any(stored.data)
 
     # ----------------------------------------------------------------- notify --
 

@@ -61,21 +61,13 @@ from repro.errors import SpaceError
 
 __all__ = ["CommitRecord", "WalStore", "FileWalStore", "WriteAheadLog",
            "record_frame", "decode_log", "WAL_MAGIC",
-           "OP_WRITE", "OP_TAKE", "FSYNC_POLICIES", "WAL_CODECS"]
+           "OP_WRITE", "OP_TAKE", "FSYNC_POLICIES"]
 
 OP_WRITE = "write"
 OP_TAKE = "take"
 
 #: Valid values for the ``fsync_policy`` knob, strongest first.
 FSYNC_POLICIES = ("always", "group", "os")
-
-#: Frame encodings a store can write.  ``pickle`` frames the whole
-#: record through ``pickle.dumps``; ``compact`` uses the length-prefixed
-#: binary layout below, which embeds entry payloads as opaque byte
-#: ranges — no re-serialization of bytes that already crossed the entry
-#: codec.  Reading is always mixed-mode (first-byte dispatch), so a log
-#: may interleave frames from both codecs.
-WAL_CODECS = ("pickle", "compact")
 
 
 @dataclass(frozen=True)
@@ -191,23 +183,18 @@ def _encode_compact(record: CommitRecord) -> Optional[bytes]:
     return b"".join(parts)
 
 
-def record_frame(record: CommitRecord, codec: str = "pickle") -> bytes:
+def record_frame(record: CommitRecord) -> bytes:
     """The on-disk frame for ``record``, encoded once and cached.
 
     Group commit concatenates cached frames instead of re-serializing
-    the batch; a record replicated between stores with different codecs
-    re-encodes (the cache keeps one frame, keyed by its first byte).
+    the batch, and a record replicated to a standby's store reuses the
+    frame the primary encoded.
     """
     frame = record.__dict__.get("_frame")
     if frame is not None:
-        is_compact = frame[0] == WAL_MAGIC
-        if is_compact == (codec == "compact"):
-            return frame
-    if codec == "compact":
-        frame = _encode_compact(record)
-        if frame is None:
-            frame = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-    else:
+        return frame
+    frame = _encode_compact(record)
+    if frame is None:
         frame = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
     # Frozen dataclass: the cache slot is set through the back door and
     # excluded from equality/hash (it never reaches __eq__ — instances
@@ -252,10 +239,9 @@ def _decode_compact_body(view, start: int, end: int) -> Optional[CommitRecord]:
 
 
 def decode_log(raw: bytes) -> list[CommitRecord]:
-    """Decode a log buffer of mixed pickle/compact frames.
+    """Decode a log buffer of compact and pickle-fallback frames.
 
-    Stops at the first torn or unrecognizable frame — the same
-    torn-tail tolerance the pickle-only loader had (a mid-write crash
+    Stops at the first torn or unrecognizable frame (a mid-write crash
     may leave a partial final frame; everything before it is intact
     because frames are appended sequentially).
     """
@@ -305,7 +291,7 @@ class WalStore:
     """
 
     def __init__(self, fsync_policy: str = "always",
-                 group_size: int = 64, codec: str = "pickle") -> None:
+                 group_size: int = 64) -> None:
         if fsync_policy not in FSYNC_POLICIES:
             raise SpaceError(
                 f"unknown fsync_policy {fsync_policy!r}; "
@@ -313,16 +299,8 @@ class WalStore:
             )
         if group_size < 1:
             raise SpaceError(f"group_size must be >= 1: {group_size}")
-        if codec not in WAL_CODECS:
-            raise SpaceError(
-                f"unknown codec {codec!r}; expected one of {WAL_CODECS}"
-            )
         self.fsync_policy = fsync_policy
         self.group_size = group_size
-        #: Frame encoding for *new* bytes this store persists.  Reading
-        #: is always mixed-mode, so flipping the codec on an existing
-        #: log is safe — old frames replay, new frames append.
-        self.codec = codec
         self.snapshot: Optional[tuple[int, bytes]] = None  # (lsn, state)
         #: Highest primary epoch this store has durably observed.  It is
         #: replayed on recovery so a restarted primary knows whether it
@@ -424,20 +402,20 @@ class WalStore:
 
 
 class FileWalStore(WalStore):
-    """File-backed store: snapshot and log as pickle-framed files.
+    """File-backed store: a pickled snapshot and a log of record frames.
 
-    Layout: ``<path>.snap`` holds ``(lsn, state)``; ``<path>.log`` holds
-    consecutive pickled :class:`CommitRecord` frames (``pickle.load``
-    framing is self-delimiting).  The WAL contract under the default
-    ``fsync_policy="always"`` is that an acknowledged commit survives
-    power loss — each append is written, flushed *and fsynced*.  See the
-    module docstring for what ``group`` and ``os`` trade away.
+    Layout: ``<path>.snap`` holds a pickled ``(lsn, state)``;
+    ``<path>.log`` holds consecutive :class:`CommitRecord` frames
+    (:func:`record_frame`; both frame kinds are self-delimiting).  The
+    WAL contract under the default ``fsync_policy="always"`` is that an
+    acknowledged commit survives power loss — each append is written,
+    flushed *and fsynced*.  See the module docstring for what ``group``
+    and ``os`` trade away.
     """
 
     def __init__(self, path, fsync_policy: str = "always",
-                 group_size: int = 64, codec: str = "pickle") -> None:
-        super().__init__(fsync_policy=fsync_policy, group_size=group_size,
-                         codec=codec)
+                 group_size: int = 64) -> None:
+        super().__init__(fsync_policy=fsync_policy, group_size=group_size)
         path = os.fspath(path)
         self._snap_path = path + ".snap"
         self._log_path = path + ".log"
@@ -479,11 +457,10 @@ class FileWalStore(WalStore):
         # One write per group: frames were (or are now) encoded exactly
         # once each, so a group commit is a concatenation, not a
         # re-serialization of the batch.
-        codec = self.codec
         if len(records) == 1:
-            payload = record_frame(records[0], codec)
+            payload = record_frame(records[0])
         else:
-            payload = b"".join(record_frame(r, codec) for r in records)
+            payload = b"".join(record_frame(r) for r in records)
         self._log_fh.write(payload)
         self._log_fh.flush()
 
@@ -519,7 +496,7 @@ class FileWalStore(WalStore):
 
         def write_tail(fh) -> None:
             for record in self.records:
-                fh.write(record_frame(record, self.codec))
+                fh.write(record_frame(record))
 
         self._write_atomic(self._log_path, write_tail)
         self._log_fh = open(self._log_path, "ab")

@@ -1,4 +1,4 @@
-"""Compact self-describing entry codec (the ``codec="compact"`` hot path).
+"""Compact self-describing entry codec: the one entry format.
 
 Pickle is general but pays for that generality on every entry: each frame
 re-describes the class, the field names, and the object protocol.  Space
@@ -6,7 +6,8 @@ entries are the opposite of general — a handful of flat classes whose
 instances differ only in field *values*.  This module exploits that: a
 class registers its field schema once (:func:`register_entry`), and an
 encoded entry is then just a 5-byte header plus the field values in
-schema order.
+schema order.  These frames are what proxies send, what the space
+stores, and what the WAL persists.
 
 Frame format (little-endian throughout)::
 
@@ -26,25 +27,18 @@ Each value is a tag byte plus payload:
 
     Containers and any other non-scalar value ride in a ``p`` tag — the
     C pickler encodes a payload list faster than a per-element Python
-    loop, and its bytes are equally canonical for plain containers.  The
-    decoder additionally accepts structural ``l``/``t`` (list/tuple:
-    u32 count + values) and ``d`` (dict: u32 count + key/value pairs)
-    tags emitted by earlier builds.
+    loop, and its bytes are equally canonical for plain containers.
 
 Every encoder is deterministic, which gives the *canonical encoding*
 contract the determinism checker relies on: the same entry value always
 encodes to the same bytes, in every process, on every run.
 
-Interop with pickle is by first-byte dispatch: frames from
-:func:`repro.util.serialization.serialize` always start with pickle's
-``PROTO`` opcode ``0x80`` (protocol ≥ 2), compact frames with ``0xC3``.
-:func:`decode_any` accepts either, so stores that switch codecs keep
-reading their old bytes — a WAL written under ``codec="pickle"`` replays
-fine under ``codec="compact"`` and vice versa.
-
 Unregistered classes and registered instances whose attribute set has
-drifted from the schema silently fall back to whole-object pickle; the
-codec never changes *what* round-trips, only how fast and how small.
+drifted from the schema fall back to a whole-object pickle frame, so the
+codec is total over picklable objects: it never changes *what*
+round-trips, only how fast and how small.  :func:`decode_any` tells the
+two frame kinds apart by their first byte — ``0xC3`` here, pickle's
+``PROTO`` opcode ``0x80`` for the fallback.
 """
 
 from __future__ import annotations
@@ -177,8 +171,7 @@ def _encode_value(out: list, value: Any) -> None:
         # the C pickler beats a per-element Python loop by ~3x on the
         # payload shapes entries actually carry, and pickle bytes for
         # plain containers are just as canonical (insertion-order
-        # deterministic, no memo effects on fresh values).  The decoder
-        # still accepts the structural l/t/d tags for old frames.
+        # deterministic, no memo effects on fresh values).
         raw = serialize(value)
         out.append(b"p" + _pack_u32(len(raw)) + raw)
 
@@ -246,24 +239,6 @@ def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
         n, = _unpack_u32(data, pos)
         pos += 4
         return bytes(data[pos:pos + n]), pos + n
-    if tag == 0x6C or tag == 0x74:  # l / t
-        n, = _unpack_u32(data, pos)
-        pos += 4
-        items = []
-        append = items.append
-        for _ in range(n):
-            value, pos = _decode_value(data, pos)
-            append(value)
-        return (items if tag == 0x6C else tuple(items)), pos
-    if tag == 0x64:  # d
-        n, = _unpack_u32(data, pos)
-        pos += 4
-        mapping = {}
-        for _ in range(n):
-            key, pos = _decode_value(data, pos)
-            value, pos = _decode_value(data, pos)
-            mapping[key] = value
-        return mapping, pos
     if tag == 0x49:  # I
         n, = _unpack_u32(data, pos)
         pos += 4
@@ -276,7 +251,7 @@ def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
 
 
 def is_compact(data) -> bool:
-    """True iff ``data`` is a compact frame (vs a pickle frame)."""
+    """True iff ``data`` is a compact frame (vs a pickle-fallback frame)."""
     return len(data) > 0 and data[0] == MAGIC
 
 
@@ -299,7 +274,7 @@ def peek_class(data) -> Optional[type]:
 
 
 def decode_any(data) -> Any:
-    """Decode either codec's frames (first-byte dispatch).
+    """Decode a compact frame or a pickle-fallback frame (first-byte dispatch).
 
     ``bytes`` or ``memoryview`` accepted.  Compact frames reconstruct
     the instance without running ``__init__`` — fields are assigned

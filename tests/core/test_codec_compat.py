@@ -1,46 +1,22 @@
-"""Codec compatibility: compact frames never change what a job computes.
+"""Compact frames are replay-deterministic through every data path.
 
-``FrameworkConfig.codec`` selects the wire/storage encoding only; the
-answer, its type, and the per-seed replay determinism must be invariant.
-Pickle is the determinism *reference* codec — the compact runs here are
-checked against it and against themselves.
-
-CI's codec-compat matrix re-runs this file with ``REPRO_CODEC`` ∈
-{pickle, compact} (default compact locally), the same
-env-parametrization idiom as ``REPRO_SHARDS`` in the sharding suite.
+Entries cross the wire and the WAL as compact frames (see DESIGN.md
+§13); a chaos campaign must replay to a byte-identical recovery trace
+per seed whether the space is single, sharded, or pipelined.
 """
 
 from __future__ import annotations
 
-import os
-
-import pytest
-
-from repro.experiments.chaos import (
-    chaos_experiment,
-    verify_chaos_determinism,
-)
-
-CODEC = os.environ.get("REPRO_CODEC", "compact")
-
-
-@pytest.mark.parametrize("seed", [0, 3])
-def test_codec_solution_is_byte_identical_to_pickle_reference(seed):
-    reference = chaos_experiment(seed=seed, codec="pickle")
-    under_test = chaos_experiment(seed=seed, codec=CODEC)
-    assert under_test.report.solution == reference.report.solution
-    assert type(under_test.report.solution) is \
-        type(reference.report.solution)
-    assert under_test.correct and under_test.consistent
+from repro.experiments.chaos import verify_chaos_determinism
 
 
 def test_codec_chaos_campaign_is_seed_deterministic():
-    assert verify_chaos_determinism(seed=42, codec=CODEC)
+    assert verify_chaos_determinism(seed=42)
 
 
 def test_codec_sharded_campaign_is_seed_deterministic():
-    assert verify_chaos_determinism(seed=42, shards=4, codec=CODEC)
+    assert verify_chaos_determinism(seed=42, shards=4)
 
 
 def test_codec_pipelined_campaign_is_seed_deterministic():
-    assert verify_chaos_determinism(seed=23, prefetch=4, codec=CODEC)
+    assert verify_chaos_determinism(seed=23, prefetch=4)

@@ -29,7 +29,7 @@ from tests.core.toyapp import SumOfSquares
 
 
 def _run_job(seed: int, prefetch: int, seed_batch: int,
-             drain_batch: int, codec: str = "pickle") -> bytes:
+             drain_batch: int) -> bytes:
     """One full job on the simulated cluster, serialized for comparison."""
     runtime = SimulatedRuntime()
     try:
@@ -46,7 +46,6 @@ def _run_job(seed: int, prefetch: int, seed_batch: int,
                 worker_prefetch=prefetch,
                 master_seed_batch=seed_batch,
                 master_drain_batch=drain_batch,
-                codec=codec,
             ),
         )
 
@@ -84,14 +83,11 @@ def _baseline(seed: int) -> bytes:
 
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 3), prefetch=st.integers(1, 8),
-       batch=st.integers(1, 8),
-       codec=st.sampled_from(["pickle", "compact"]))
+       batch=st.integers(1, 8))
 def test_pipelined_job_is_byte_identical_to_unpipelined(seed, prefetch,
-                                                        batch, codec):
-    # The unpipelined baseline runs codec="pickle" (the determinism
-    # reference), so this also pins compact == pickle answers.
+                                                        batch):
     pipelined = _run_job(seed, prefetch=prefetch, seed_batch=batch,
-                         drain_batch=batch, codec=codec)
+                         drain_batch=batch)
     assert pipelined == _baseline(seed)
 
 

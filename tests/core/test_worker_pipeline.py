@@ -141,7 +141,8 @@ def test_prefetch_takes_tasks_in_multi_entry_batches(rt, env):
         host = make_host(prefetch=prefetch)
         host.running = True
         sizes = []
-        original = space.take_multiple
+        # The server serves wire takes from stored frames.
+        original = space.take_multiple_encoded
 
         def spy(*a, **kw):
             taken = original(*a, **kw)
@@ -149,7 +150,7 @@ def test_prefetch_takes_tasks_in_multi_entry_batches(rt, env):
                 sizes.append(len(taken))
             return taken
 
-        space.take_multiple = spy
+        space.take_multiple_encoded = spy
 
         def body():
             fill_tasks(space, app, 12)
@@ -159,7 +160,7 @@ def test_prefetch_takes_tasks_in_multi_entry_batches(rt, env):
             return space.count(ResultEntry())
 
         results = drive(rt, body)
-        space.take_multiple = original
+        space.take_multiple_encoded = original
         assert results >= 12
         return sizes
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.node.cpu import CpuModel
+from repro.node.cpu import CpuModel, UtilizationRecorder
 from repro.runtime import SimulatedRuntime
 
 # Schedules of (delay before change, new background level); the job runs
@@ -130,3 +130,56 @@ def test_windowed_average_matches_busy_fraction(window, busy):
         assert cpu.average_total(window) == pytest.approx(expected, abs=0.5)
     finally:
         runtime.shutdown()
+
+
+class _Clock:
+    """The one runtime method the recorder reads."""
+
+    def __init__(self) -> None:
+        self.t = 0.0
+
+    def now(self) -> float:
+        return self.t
+
+
+def _full_scan_average(steps, now, window_ms, external):
+    """Reference: integrate over the whole step history."""
+    start = max(0.0, now - window_ms)
+    if now <= start:
+        _, total, ext = steps[-1]
+        return ext if external else total
+    area = 0.0
+    for i, (t, total, ext) in enumerate(steps):
+        t_next = steps[i + 1][0] if i + 1 < len(steps) else now
+        lo, hi = max(t, start), min(t_next, now)
+        if hi > lo:
+            area += (ext if external else total) * (hi - lo)
+    return area / (now - start)
+
+
+levels = st.floats(0.0, 100.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=st.lists(st.tuples(st.floats(0.0, 500.0), levels, levels),
+                     max_size=40),
+    keep_ms=st.sampled_from([300.0, 2_000.0, 600_000.0]),
+    queries=st.lists(st.tuples(st.floats(0.0, 300.0),
+                               st.floats(0.0, 20_000.0), st.booleans()),
+                     min_size=1, max_size=5),
+)
+def test_windowed_average_equals_full_history_scan(samples, keep_ms,
+                                                   queries):
+    """Starting the integration at the step covering the window start
+    gives the same float, bit for bit, as scanning every step."""
+    clock = _Clock()
+    recorder = UtilizationRecorder(clock, keep_ms=keep_ms)
+    for delay, total, external in samples:
+        clock.t += delay
+        recorder.record(total, min(total, external))
+    for delay, window, external in queries:
+        clock.t += delay
+        expected = _full_scan_average(recorder.history(), clock.t, window,
+                                      external)
+        assert recorder.average(window, external) == expected

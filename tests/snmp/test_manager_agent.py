@@ -157,3 +157,35 @@ def test_agent_stop_releases_port(rt, env):
         return True
 
     assert run(rt, proc)
+
+
+def test_concurrent_pollers_of_different_agents_never_time_out(rt):
+    """Monitor loops share one manager; a response must reach the poller
+    waiting for it even while polls of other agents are in flight."""
+    net = Network(rt, latency=LatencyModel(base_ms=0.5, jitter_ms=0.0,
+                                           per_kb_ms=0.0))
+    hosts = [f"worker{i}" for i in range(4)]
+    for i, host in enumerate(hosts):
+        mib = Mib()
+        mib.register(HOST_RESOURCES.HR_PROCESSOR_LOAD, lambda i=i: 10 * i)
+        SnmpAgent(rt, net, host, mib, community="cluster").start()
+    manager = SnmpManager(rt, net, "manager", community="cluster",
+                          timeout_ms=50.0)
+    seen: dict[str, list] = {host: [] for host in hosts}
+
+    def poller(host):
+        for _ in range(5):
+            seen[host].append(
+                manager.get_one(host, HOST_RESOURCES.HR_PROCESSOR_LOAD))
+
+    def proc():
+        procs = [rt.spawn(lambda h=host: poller(h), name=f"poll:{host}")
+                 for host in hosts]
+        for p in procs:
+            p.join()
+        return manager.stats
+
+    stats = run(rt, proc)
+    assert stats["timeouts"] == 0
+    assert stats["retries"] == 0
+    assert seen == {host: [10 * i] * 5 for i, host in enumerate(hosts)}

@@ -19,6 +19,7 @@ from repro.tuplespace.entry import Entry
 from repro.tuplespace.failover import SpaceSupervisor
 from repro.tuplespace.proxy import SpaceProxy, SpaceServer
 from repro.tuplespace.wal import CommitRecord, FileWalStore, WriteAheadLog
+from repro.util.codec import encode_entry
 
 PRIMARY = Address("master", 9100)
 STANDBY = Address("master", 9101)
@@ -205,7 +206,8 @@ def test_double_promotion_race_fences_the_old_primary(runtime):
         # the stamp alone proves to the old primary it was superseded.
         conn = network.connect("client2", PRIMARY)
         conn.send({"op": "write", "epoch": 1,
-                   "args": {"entry": Point(3, 0), "lease_ms": float("inf"),
+                   "args": {"entry_data": encode_entry(Point(3, 0)),
+                            "lease_ms": float("inf"),
                             "txn_id": None}})
         reply = conn.receive(timeout_ms=1_000.0)
         assert reply["ok"] is False

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import SpaceError, TransactionError
 from repro.net import Address, LatencyModel, Network
 from repro.tuplespace import JavaSpace, SpaceProxy, SpaceServer
+from repro.util.codec import encode_entry
 from tests.tuplespace.entries import TaskEntry
 
 SERVER = Address("master", 4155)
@@ -157,7 +158,7 @@ def test_bad_batch_ref_is_rejected(rt, env):
 
     def body():
         proxy = SpaceProxy(net, "client", SERVER)
-        ops = [("write", {"entry": TaskEntry("a", 1, None),
+        ops = [("write", {"entry_data": encode_entry(TaskEntry("a", 1, None)),
                           "lease_ms": float("inf"),
                           "txn_id": {"batch_ref": 5}})]
         replies = proxy._call_batch(ops)

@@ -1,4 +1,4 @@
-"""Compact entry codec: round-trip, canonicality, and pickle interop.
+"""Compact entry codec: round-trip, canonicality, and pickle fallback.
 
 The codec's contract has three legs the space hot path leans on:
 
@@ -7,8 +7,8 @@ The codec's contract has three legs the space hot path leans on:
   fallback otherwise);
 - *canonical*: the same entry value encodes to the same bytes, in this
   process and in any other (the determinism checker compares frames);
-- *interoperable*: ``decode_any`` reads both codecs by first-byte
-  dispatch, so stores that switch codecs keep reading their old bytes.
+- *self-describing*: ``decode_any`` tells compact frames from
+  pickle-fallback frames by their first byte.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def test_encoding_is_canonical(entry):
 @given(entry=entries)
 @settings(max_examples=25)
 def test_pickle_frames_decode_to_the_same_value(entry):
-    # decode_any must accept the reference codec's bytes unchanged.
+    # decode_any must accept plain pickle frames (the fallback format).
     decoded = decode_any(serialize(entry))
     assert decoded.__dict__ == entry.__dict__
 
@@ -181,24 +181,6 @@ def test_register_derives_schema_from_init_parameters():
     assert registered_fields(Fresh) == ("a", "b")
     decoded = decode_any(encode_entry(Fresh(1, "x")))
     assert (decoded.a, decoded.b) == (1, "x")
-
-
-def test_legacy_structural_container_tags_still_decode():
-    """Earlier builds emitted l/t/d tags for containers; the current
-    encoder pickles them, but old frames must keep decoding."""
-    fp = schema_fingerprint(TaskEntry, ("app", "task_id", "payload"))
-    header = bytes([MAGIC]) + struct.pack("<I", fp)
-    value = (b"l" + struct.pack("<I", 2) +
-             b"i" + struct.pack("<q", 1) +
-             b"i" + struct.pack("<q", 2))
-    legacy = (header + b"N" + b"N" + value)
-    assert decode_any(legacy).payload == [1, 2]
-    tup = header + b"N" + b"N" + (b"t" + struct.pack("<I", 1) + b"N")
-    assert decode_any(tup).payload == (None,)
-    d = (b"d" + struct.pack("<I", 1) +
-         b"s" + struct.pack("<I", 1) + b"k" +
-         b"i" + struct.pack("<q", 9))
-    assert decode_any(header + b"N" + b"N" + d).payload == {"k": 9}
 
 
 def test_memoryview_input_decodes():
