@@ -7,8 +7,8 @@ are wildcards.
 
 Matching is the innermost loop of every space operation, so this module
 avoids building a dict per candidate: ``matches`` walks ``vars()``
-directly, and ``match_items``/``matches_fields`` let the space hoist the
-template's non-``None`` fields out of the candidate loop entirely.
+directly, and ``match_items`` lets the space hoist the template's
+non-``None`` fields out of the candidate loop entirely.
 ``entry_fields`` keeps its public dict-returning API but serves the field
 *names* from a per-class cache.
 """
@@ -23,7 +23,6 @@ __all__ = [
     "entry_fields",
     "match_items",
     "matches",
-    "matches_fields",
     "values_equal",
 ]
 
@@ -107,21 +106,6 @@ def match_items(template: Entry) -> list[tuple[str, Any]]:
         for name, value in vars(template).items()
         if value is not None and not name.startswith("_")
     ]
-
-
-def matches_fields(items: list[tuple[str, Any]], candidate: Entry) -> bool:
-    """Field-wise match of precomputed ``match_items`` against a candidate.
-
-    The caller is responsible for the class check (``isinstance`` or an
-    equivalent bucket-level ``issubclass`` test).
-    """
-    candidate_attrs = vars(candidate)
-    for name, value in items:
-        if name not in candidate_attrs:
-            return False
-        if not values_equal(candidate_attrs[name], value):
-            return False
-    return True
 
 
 def matches(template: Entry, candidate: Entry) -> bool:

@@ -15,28 +15,32 @@ determinism is a strict strengthening that experiments rely on).  An
 expiry is driven by a deadline min-heap: ``_reap_expired`` is O(expired)
 per call and free when every lease is FOREVER.
 
-Isolation: entries are serialized at ``write`` and a private snapshot is
-deserialized *lazily* the first time field matching needs it — a
-class-only template (the master/worker hot path) never pays the decode
-at all.  Callers still never share mutable state through the
-space: every ``read``/``take`` returns a fresh copy deserialized from the
-stored bytes, the behaviour of the real JavaSpaces proxy.
+Isolation: entries are serialized at ``write`` and only the stored frame
+is kept.  Matching, indexing and fair share read the template's fields
+straight from the frame (:func:`~repro.util.codec.decode_field`), each
+field decoded at most once per entry and cached; a class-only template
+decodes nothing.  An entry instance is built only to hand a fresh copy
+to an in-process ``read``/``take`` caller, the behaviour of the real
+JavaSpaces proxy, so callers never share mutable state through the space.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from collections.abc import Mapping
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Collection, Iterator, Optional
 
 from repro.errors import SpaceError
 from repro.runtime.base import Runtime
-from repro.tuplespace.entry import Entry, match_items, matches_fields
+from repro.tuplespace.entry import Entry, match_items, values_equal
 from repro.tuplespace.events import EventRegistration, RemoteEvent
 from repro.tuplespace.lease import FOREVER, Lease
 from repro.tuplespace.transaction import Transaction
-from repro.util.codec import decode_any, encode_entry, peek_class
+from repro.util.codec import (
+    MISSING, decode_any, decode_field, encode_entry, peek_class,
+)
 # Unused here, but the host-time ledger patches this name by module.
 from repro.util.serialization import serialize  # noqa: F401
 
@@ -82,18 +86,29 @@ _PENDING_WRITE = "pending-write"
 _TAKEN = "taken"
 
 
+class _FrameFields(dict):
+    """Field values of one stored frame, each decoded on first lookup
+    (:data:`MISSING` for a name the entry lacks)."""
+
+    __slots__ = ("data",)
+
+    def __missing__(self, name: str) -> Any:
+        value = self[name] = decode_field(self.data, name)
+        return value
+
+
 class _Stored:
     """One entry in the store, with its lock state.
 
-    ``entry`` (the private matching snapshot) is deserialized on first
-    access; ``cls`` and ``index_keys`` are recorded at write time so the
-    common paths — class-only matching, index maintenance, removal —
-    never force the snapshot.
+    ``fields`` caches the field values decoded from ``data`` so far;
+    :func:`_fields` creates it on first use.  ``cls`` and ``index_keys``
+    are recorded at insert time so class-only matching and removal never
+    decode anything.
     """
 
     __slots__ = (
         "entry_id", "cls", "data", "lease", "state", "owner_txn",
-        "read_lockers", "index_keys", "_snapshot",
+        "read_lockers", "index_keys", "fields",
     )
 
     def __init__(self, entry_id: int, cls: type, data: bytes, lease: Lease) -> None:
@@ -107,15 +122,64 @@ class _Stored:
         # under a transaction nor indexed, and the write path is hot.
         self.read_lockers: Optional[set[int]] = None  # txn ids, shared locks
         self.index_keys: Optional[list[tuple[str, Any]]] = None
-        self._snapshot: Optional[Entry] = None
+        self.fields: Optional[_FrameFields] = None
 
-    @property
-    def entry(self) -> Entry:
-        """Private matching snapshot, materialized on first field match."""
-        snapshot = self._snapshot
-        if snapshot is None:
-            snapshot = self._snapshot = decode_any(self.data)
-        return snapshot
+
+def _fields(stored: _Stored) -> _FrameFields:
+    """The field cache of ``stored``, created on first use."""
+    fields = stored.fields
+    if fields is None:
+        fields = stored.fields = _FrameFields()
+        fields.data = stored.data
+    return fields
+
+
+def _matches(items: list[tuple[str, Any]], stored: _Stored) -> bool:
+    """Field-wise match of precomputed ``match_items`` against a stored
+    entry, with :func:`~repro.tuplespace.entry.matches` semantics.
+
+    The caller is responsible for the class check (an equivalent
+    bucket-level ``issubclass`` test).
+    """
+    fields = _fields(stored)
+    for name, value in items:
+        got = fields[name]
+        if got is MISSING or not values_equal(got, value):
+            return False
+    return True
+
+
+def _frame_class(data: bytes) -> type:
+    """Entry class of a frame: read from a compact frame's header, or
+    decoded whole from a pickle-fallback frame."""
+    cls = peek_class(data)
+    if cls is None:
+        cls = type(decode_any(data))
+    if not (isinstance(cls, type) and issubclass(cls, Entry)):
+        raise SpaceError(f"not an Entry: {cls.__name__}")
+    return cls
+
+
+def _insert_ordered(ids: dict[int, None], entry_id: int) -> None:
+    """Add ``entry_id`` to an index bucket, keeping its ids ascending.
+
+    New entries always carry the highest id, so this is an append; only
+    WAL replay and replication insert behind the tail, and then only the
+    ids larger than ``entry_id`` move.
+    """
+    if ids and entry_id < next(reversed(ids)):
+        tail = []
+        while ids:
+            key = ids.popitem()[0]
+            if key < entry_id:
+                ids[key] = None
+                break
+            tail.append(key)
+        ids[entry_id] = None
+        for key in reversed(tail):
+            ids[key] = None
+    else:
+        ids[entry_id] = None
 
 
 class _ScanList:
@@ -195,7 +259,9 @@ class JavaSpace:
         # Only hashable field values are indexed; templates fall back to a
         # scan for the rest.  Cuts selective matching from O(bucket) to
         # O(candidates) — measured by bench_micro_space_template_selectivity.
-        self._indexes: dict[type, dict[str, dict[Any, set[int]]]] = {}
+        # Each value's ids are an insertion-ordered dict (id → None): ids
+        # arrive in ascending order, so a bucket is FIFO as it stands.
+        self._indexes: dict[type, dict[str, dict[Any, dict[int, None]]]] = {}
         # Fields that ever held an unhashable value (per class): the index
         # is incomplete for them (an ndarray can still equal a hashable
         # template value), so matching falls back to scanning.
@@ -224,7 +290,7 @@ class JavaSpace:
         self.stats = _SpaceStats(self)
         # Weighted fair-share dispatch (deficit round-robin across tenants).
         # ``None`` keeps the single-tenant fast path: _find never inspects
-        # tenant fields and never forces matching snapshots.
+        # tenant fields.
         self._fair_shares: Optional[dict[str, float]] = None
         self._fair_default_share = 1.0
         self._fair_class_names: frozenset[str] = frozenset()
@@ -256,7 +322,7 @@ class JavaSpace:
             raise SpaceError(f"not an Entry: {type(entry).__name__}")
         data = encode_entry(entry)              # enforces serializability
         with self._lock:
-            stored = self._store(type(entry), data, lease_ms, entry)
+            stored = self._store(type(entry), data, lease_ms)
             if txn is not None:
                 txn._enlist(self)
                 stored.state = _PENDING_WRITE
@@ -281,20 +347,11 @@ class JavaSpace:
         The zero-copy server path: a proxy client encoded the entry once,
         the bytes travelled the wire, and the space stores them verbatim
         (compact frames don't even decode — the class comes from the
-        frame header; pickle-fallback frames decode once for the class
-        and keep the instance as the matching snapshot).
+        frame header; pickle-fallback frames decode once for the class).
         """
-        entry: Optional[Entry] = None
-        cls = peek_class(data)
-        if cls is None:
-            entry = decode_any(data)
-            cls = type(entry)
-        if not (isinstance(cls, type) and issubclass(cls, Entry)):
-            raise SpaceError(f"not an Entry: {cls.__name__}")
+        cls = _frame_class(data)
         with self._lock:
-            stored = self._store(cls, data, lease_ms, entry)
-            if entry is not None:
-                stored._snapshot = entry
+            stored = self._store(cls, data, lease_ms)
             if txn is not None:
                 txn._enlist(self)
                 stored.state = _PENDING_WRITE
@@ -308,13 +365,11 @@ class JavaSpace:
                     ])
             return stored.lease
 
-    def _store(self, cls: type, data: bytes, lease_ms: float,
-               entry: Optional[Entry] = None) -> _Stored:
+    def _store(self, cls: type, data: bytes, lease_ms: float) -> _Stored:
         """Insert one serialized entry (store, id map, index, lease heap).
 
-        ``entry`` is the writer's live instance when available — it spares
-        the index maintenance path a snapshot decode; pre-encoded writes
-        pass None and the (rarely needed) snapshot stays lazy.
+        Index values come from ``data``, never from the writer's
+        instance, which the writer may mutate after the write.
         """
         entry_id = next(self._ids)
         self._last_id = entry_id
@@ -332,7 +387,7 @@ class JavaSpace:
         self._scan_lists[cls].ids.append(entry_id)
         self._by_id[entry_id] = stored
         if self._indexes.get(cls):
-            self._index_entry(stored, entry)
+            self._index_entry(stored)
         if lease.expiration_ms != FOREVER:
             heappush(self._lease_heap, (lease.expiration_ms, entry_id))
         self._stat_writes += 1
@@ -447,7 +502,7 @@ class JavaSpace:
             leases: list[Lease] = []
             journal: list[tuple] = []
             for entry, data in zip(entries, serialized):
-                stored = self._store(type(entry), data, lease_ms, entry)
+                stored = self._store(type(entry), data, lease_ms)
                 leases.append(stored.lease)
                 if ops is not None:
                     stored.state = _PENDING_WRITE
@@ -471,16 +526,7 @@ class JavaSpace:
         lease_ms: float = FOREVER,
     ) -> list[Lease]:
         """Batch form of :meth:`write_encoded` (one monitor pass)."""
-        resolved: list[tuple[type, bytes, Optional[Entry]]] = []
-        for data in datas:
-            entry: Optional[Entry] = None
-            cls = peek_class(data)
-            if cls is None:
-                entry = decode_any(data)
-                cls = type(entry)
-            if not (isinstance(cls, type) and issubclass(cls, Entry)):
-                raise SpaceError(f"not an Entry: {cls.__name__}")
-            resolved.append((cls, data, entry))
+        resolved = [(_frame_class(data), data) for data in datas]
         with self._lock:
             ops = None
             if txn is not None:
@@ -488,10 +534,8 @@ class JavaSpace:
                 ops = self._ops(txn)
             leases: list[Lease] = []
             journal: list[tuple] = []
-            for cls, data, entry in resolved:
-                stored = self._store(cls, data, lease_ms, entry)
-                if entry is not None:
-                    stored._snapshot = entry
+            for cls, data in resolved:
+                stored = self._store(cls, data, lease_ms)
                 leases.append(stored.lease)
                 if ops is not None:
                     stored.state = _PENDING_WRITE
@@ -748,7 +792,15 @@ class JavaSpace:
     def _restore(self, entry_id: int, data: bytes, expiration_ms: float) -> None:
         """Re-insert one committed entry with its original id and absolute
         lease deadline (WAL replay / snapshot install; caller holds the
-        lock or owns the space exclusively)."""
+        lock or owns the space exclusively).
+
+        The log carries commits in commit order, which is not id order:
+        a transaction's write can commit after a later plain write.  The
+        entry therefore goes in at its id's place in the scan list and
+        the index buckets (the class bucket is an id map whose order no
+        scan reads), so a recovered space or a standby serves entries in
+        the same order as the primary did.
+        """
         cancelled = self._lease_cancelled
         lease = Lease(
             self.runtime,
@@ -758,24 +810,21 @@ class JavaSpace:
             else max(0.0, expiration_ms - self.runtime.now()),
             on_cancel=lambda eid=entry_id: cancelled.append(eid),
         )
-        entry: Optional[Entry] = None
-        cls = peek_class(data)
-        if cls is None:
-            # Pickle frame: decoding is the only way to learn the class,
-            # so keep the instance as the matching snapshot.
-            entry = decode_any(data)
-            cls = type(entry)
+        cls = _frame_class(data)
         stored = _Stored(entry_id, cls, data, lease)
-        stored._snapshot = entry
         bucket = self._buckets.get(cls)
         if bucket is None:
             bucket = self._buckets[cls] = {}
             self._scan_lists[cls] = _ScanList()
         bucket[entry_id] = stored
-        self._scan_lists[cls].ids.append(entry_id)
+        sl = self._scan_lists[cls]
+        if sl.ids and entry_id < sl.ids[-1]:
+            insort(sl.ids, entry_id, lo=sl.head)
+        else:
+            sl.ids.append(entry_id)
         self._by_id[entry_id] = stored
         if self._indexes.get(cls):
-            self._index_entry(stored, entry)
+            self._index_entry(stored)
         if lease.expiration_ms != FOREVER:
             heappush(self._lease_heap, (lease.expiration_ms, entry_id))
         if entry_id > self._last_id:
@@ -824,34 +873,30 @@ class JavaSpace:
         except TypeError:
             return False
 
-    def _index_entry(self, stored: _Stored, entry: Optional[Entry]) -> None:
+    def _index_entry(self, stored: _Stored) -> None:
         """Maintain the *activated* field indexes for one inserted entry.
 
         Called from ``_store``/``_restore`` only when the class already
         has at least one activated index (``_build_index`` activated it
         on behalf of a selective reader) — the common write never gets
-        here.  ``entry`` is the writer's live instance when available;
-        pre-encoded inserts fall back to the lazy snapshot.  The indexed
+        here.  Each indexed value is read from the stored frame (and
+        stays cached for the confirming match).  The indexed
         ``(field, value)`` pairs are recorded on ``stored`` so removal
-        never recomputes them.  Index correctness relies on values whose
-        hash/equality survive recoding — true of every sane key type, and
-        the index is only ever a pre-filter: ``matches`` still confirms
-        against the isolated snapshot.
+        never recomputes them.  The index is only ever a pre-filter:
+        ``_matches`` still confirms with ``values_equal``.
         """
         cls = stored.cls
         index = self._indexes.get(cls)
         if not index:
             return
-        if entry is None:
-            entry = stored.entry
-        attrs = entry.__dict__
         keys = stored.index_keys
         if keys is None:
             keys = stored.index_keys = []
+        fields = _fields(stored)
         dropped: list[str] = []
         for name, by_value in index.items():
-            value = attrs.get(name)
-            if value is None:
+            value = fields[name]
+            if value is None or value is MISSING:
                 continue
             try:
                 ids = by_value.get(value)
@@ -862,29 +907,31 @@ class JavaSpace:
                 dropped.append(name)
                 continue
             if ids is None:
-                by_value[value] = ids = set()
-            ids.add(stored.entry_id)
+                by_value[value] = ids = {}
+            _insert_ordered(ids, stored.entry_id)
             keys.append((name, value))
         for name in dropped:
             del index[name]
 
     def _build_index(
         self, cls: type, name: str
-    ) -> Optional[dict[Any, set[int]]]:
+    ) -> Optional[dict[Any, dict[int, None]]]:
         """Activate the ``(cls, name)`` index: one scan over the bucket.
 
         Lazy-index activation point — the first template that selects on
-        ``name`` pays one O(bucket) build (forcing matching snapshots),
-        and every later write maintains the index incrementally.  Returns
-        None (and poisons the field) if any current value is unhashable.
+        ``name`` pays one O(bucket) build (one field read per entry), and
+        every later write maintains the index incrementally.  The scan
+        walks the bucket in id order, so each value's ids come out
+        ascending.  Returns None (and poisons the field) if any current
+        value is unhashable.
         """
-        by_value: dict[Any, set[int]] = {}
+        by_value: dict[Any, dict[int, None]] = {}
         indexed: list[tuple[_Stored, Any]] = []
         bucket = self._buckets.get(cls)
         if bucket:
-            for stored in bucket.values():
-                value = stored.entry.__dict__.get(name)
-                if value is None:
+            for stored in self._scan_bucket(cls, bucket):
+                value = _fields(stored)[name]
+                if value is None or value is MISSING:
                     continue
                 try:
                     ids = by_value.get(value)
@@ -892,8 +939,8 @@ class JavaSpace:
                     self._unindexable.setdefault(cls, set()).add(name)
                     return None
                 if ids is None:
-                    by_value[value] = ids = set()
-                ids.add(stored.entry_id)
+                    by_value[value] = ids = {}
+                ids[stored.entry_id] = None
                 indexed.append((stored, value))
         for stored, value in indexed:
             if stored.index_keys is None:
@@ -915,22 +962,26 @@ class JavaSpace:
             by_value = index.get(name)
             ids = by_value.get(value) if by_value is not None else None
             if ids is not None:
-                ids.discard(stored.entry_id)
+                ids.pop(stored.entry_id, None)
                 if not ids:
                     del by_value[value]
 
     def _candidate_ids(
         self, cls: type, items: list[tuple[str, Any]]
-    ) -> Optional[list[int]]:
-        """Entry ids pre-filtered by the indexed template fields.
+    ) -> Optional[Collection[int]]:
+        """Entry ids pre-filtered by the indexed template fields, in id
+        (FIFO) order.
 
         Selecting on a field that has no index yet *activates* it (one
         bucket scan via ``_build_index``); after that the lookup is a
-        pair of dict probes.  Returns None when no indexed field narrows
-        the search (scan the bucket); an empty list means a definite miss.
+        pair of dict probes.  One indexed field returns its live index
+        bucket as it stands — callers iterate it without mutating the
+        space; several intersect by walking the smallest bucket.  Returns
+        None when no indexed field narrows the search (scan the bucket);
+        an empty result means a definite miss.
         """
         poisoned = self._unindexable.get(cls)
-        ids: Optional[set[int]] = None
+        found: list[dict[int, None]] = []
         index = self._indexes.get(cls)
         for name, value in items:
             if (poisoned is not None and name in poisoned) or not self._hashable(value):
@@ -944,11 +995,13 @@ class JavaSpace:
                 index = self._indexes.get(cls)
             matching = by_value.get(value)
             if not matching:
-                return []
-            ids = set(matching) if ids is None else ids & matching
-            if not ids:
-                return []
-        return None if ids is None else sorted(ids)  # FIFO within matches
+                return ()
+            found.append(matching)
+        if len(found) < 2:
+            return found[0] if found else None
+        found.sort(key=len)
+        smallest, others = found[0], found[1:]
+        return [i for i in smallest if all(i in ids for ids in others)]
 
     # ----------------------------------------------------- fair-share dispatch --
 
@@ -994,8 +1047,8 @@ class JavaSpace:
 
         One pass collects the FIFO-first candidate of every tenant with a
         visible match; the deficit counters then pick the tenant.  The
-        pass forces matching snapshots (it must read ``tenant``), which
-        is why fair share is opt-in per space.
+        pass reads every visible entry's ``tenant`` field, which is why
+        fair share is opt-in per space.
         """
         candidates: dict[str, _Stored] = {}
         for cls, bucket in self._buckets.items():
@@ -1006,9 +1059,11 @@ class JavaSpace:
                     continue
                 if stored.read_lockers and not self._takeable(stored, txn):
                     continue
-                if items and not matches_fields(items, stored.entry):
+                if items and not _matches(items, stored):
                     continue
-                tenant = getattr(stored.entry, "tenant", None) or ""
+                tenant = _fields(stored)["tenant"]
+                if tenant is MISSING or not tenant:
+                    tenant = ""
                 if tenant not in candidates:
                     candidates[tenant] = stored
         if not candidates:
@@ -1089,9 +1144,7 @@ class JavaSpace:
                 candidates = self._candidate_ids(cls, items)
                 if candidates is not None:
                     for entry_id in candidates:
-                        stored = bucket.get(entry_id)
-                        if stored is None:
-                            continue
+                        stored = bucket[entry_id]
                         state = stored.state
                         if state != _AVAILABLE:
                             if state == _TAKEN or txn is None or stored.owner_txn is not txn:
@@ -1100,7 +1153,7 @@ class JavaSpace:
                             continue
                         if take and stored.read_lockers and not self._takeable(stored, txn):
                             continue
-                        if matches_fields(items, stored.entry):
+                        if _matches(items, stored):
                             return stored
                     continue
             # Insertion-order walk over the scan list, inlined rather than
@@ -1130,8 +1183,8 @@ class JavaSpace:
                     continue
                 if take and stored.read_lockers and not self._takeable(stored, txn):
                     continue
-                # Class-only templates match without touching the snapshot.
-                if not items or matches_fields(items, stored.entry):
+                # Class-only templates match without decoding a field.
+                if not items or _matches(items, stored):
                     return stored
         return None
 
@@ -1159,7 +1212,7 @@ class JavaSpace:
                 stored_iter: Any = (
                     self._scan_bucket(cls, bucket)
                     if candidates is None
-                    else (bucket[i] for i in candidates if i in bucket)
+                    else map(bucket.__getitem__, candidates)
                 )
             else:
                 stored_iter = self._scan_bucket(cls, bucket)
@@ -1168,7 +1221,7 @@ class JavaSpace:
                     continue
                 if take and stored.read_lockers and not self._takeable(stored, txn):
                     continue
-                if not items or matches_fields(items, stored.entry):
+                if not items or _matches(items, stored):
                     out.append(stored)
                     if len(out) >= limit:
                         return out
@@ -1188,12 +1241,12 @@ class JavaSpace:
             stored_iter: Any = (
                 self._scan_bucket(cls, bucket)
                 if candidates is None
-                else (bucket[i] for i in candidates if i in bucket)
+                else map(bucket.__getitem__, candidates)
             )
             for stored in stored_iter:
                 if not self._visible(stored, txn):
                     continue
-                if not items or matches_fields(items, stored.entry):
+                if not items or _matches(items, stored):
                     yield stored
 
     def _visible(self, stored: _Stored, txn: Optional[Transaction]) -> bool:
@@ -1232,7 +1285,7 @@ class JavaSpace:
             for waiter in queue:
                 if waiter.woken:
                     continue
-                if not waiter.items or matches_fields(waiter.items, stored.entry):
+                if not waiter.items or _matches(waiter.items, stored):
                     waiter.woken = True
                     waiter.cond.notify()
                     wakeups += 1
@@ -1267,7 +1320,7 @@ class JavaSpace:
             if not issubclass(stored.cls, type(reg.template)):
                 continue
             reg_items = match_items(reg.template)
-            if not reg_items or matches_fields(reg_items, stored.entry):
+            if not reg_items or _matches(reg_items, stored):
                 event = RemoteEvent(self.name, reg.registration_id, reg.next_sequence())
                 self._stat_events += 1
                 # Deliver outside the monitor; listeners must not block, and

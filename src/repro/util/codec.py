@@ -39,6 +39,10 @@ codec is total over picklable objects: it never changes *what*
 round-trips, only how fast and how small.  :func:`decode_any` tells the
 two frame kinds apart by their first byte — ``0xC3`` here, pickle's
 ``PROTO`` opcode ``0x80`` for the fallback.
+
+:func:`decode_field` reads one value out of a compact frame without
+building the instance: every value before it is skipped by its tag and
+length, so matching a template field never unpickles a payload.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ __all__ = [
     "registered_fields",
     "encode_entry",
     "decode_any",
+    "decode_field",
+    "MISSING",
     "is_compact",
     "peek_class",
 ]
@@ -77,12 +83,26 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 
+class _Missing:
+    """Type of :data:`MISSING`."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "MISSING"
+
+
+#: What :func:`decode_field` returns for a name the entry does not carry.
+MISSING = _Missing()
+
+
 class _Schema:
-    __slots__ = ("cls", "fields", "fingerprint", "header")
+    __slots__ = ("cls", "fields", "positions", "fingerprint", "header")
 
     def __init__(self, cls: type, fields: tuple[str, ...]) -> None:
         self.cls = cls
         self.fields = fields
+        self.positions = {name: i for i, name in enumerate(fields)}
         self.fingerprint = schema_fingerprint(cls, fields)
         self.header = _MAGIC_BYTE + _pack_u32(self.fingerprint)
 
@@ -250,6 +270,57 @@ def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
     raise EntryError(f"corrupt compact frame: unknown value tag {tag:#x}")
 
 
+#: Bytes to skip after each value tag: a fixed width, or -1 for a
+#: ``u32`` length prefix followed by that many bytes.  None: unknown tag.
+_SKIP: list[Optional[int]] = [None] * 256
+for _tag, _width in ((b"N", 0), (b"T", 0), (b"F", 0), (b"i", 8), (b"f", 8),
+                     (b"s", -1), (b"b", -1), (b"I", -1), (b"p", -1)):
+    _SKIP[_tag[0]] = _width
+del _tag, _width
+
+
+def _schema_of(data) -> _Schema:
+    fingerprint, = _unpack_u32(data, 1)
+    schema = _BY_FINGERPRINT.get(fingerprint)
+    if schema is None:
+        raise EntryError(
+            f"compact frame with unregistered schema {fingerprint:#x}"
+        )
+    return schema
+
+
+def decode_field(data, name: str) -> Any:
+    """The value ``decode_any(data)`` would assign to field ``name``.
+
+    Compact frames decode only that value: the values before it are
+    skipped by tag and length, so a field ahead of a pickled payload
+    never pays for the payload.  A name outside the schema yields
+    :data:`MISSING`.  A pickle-fallback frame has no layout to skip
+    through and decodes whole (its instance attributes are the fields).
+    """
+    if not data:
+        raise EntryError("cannot deserialize empty payload")
+    if data[0] != MAGIC:
+        return vars(deserialize(data)).get(name, MISSING)
+    index = _schema_of(data).positions.get(name)
+    if index is None:
+        return MISSING
+    pos = 5
+    while index:
+        width = _SKIP[data[pos]]
+        pos += 1
+        if width is None:
+            raise EntryError(
+                f"corrupt compact frame: unknown value tag {data[pos - 1]:#x}"
+            )
+        if width < 0:
+            n, = _unpack_u32(data, pos)
+            width = 4 + n
+        pos += width
+        index -= 1
+    return _decode_value(data, pos)[0]
+
+
 def is_compact(data) -> bool:
     """True iff ``data`` is a compact frame (vs a pickle-fallback frame)."""
     return len(data) > 0 and data[0] == MAGIC
@@ -264,13 +335,7 @@ def peek_class(data) -> Optional[type]:
     """
     if not is_compact(data):
         return None
-    fingerprint, = _unpack_u32(data, 1)
-    schema = _BY_FINGERPRINT.get(fingerprint)
-    if schema is None:
-        raise EntryError(
-            f"compact frame with unregistered schema {fingerprint:#x}"
-        )
-    return schema.cls
+    return _schema_of(data).cls
 
 
 def decode_any(data) -> Any:
@@ -284,12 +349,7 @@ def decode_any(data) -> Any:
         raise EntryError("cannot deserialize empty payload")
     if data[0] != MAGIC:
         return deserialize(data)
-    fingerprint, = _unpack_u32(data, 1)
-    schema = _BY_FINGERPRINT.get(fingerprint)
-    if schema is None:
-        raise EntryError(
-            f"compact frame with unregistered schema {fingerprint:#x}"
-        )
+    schema = _schema_of(data)
     cls = schema.cls
     obj = cls.__new__(cls)
     attrs = obj.__dict__

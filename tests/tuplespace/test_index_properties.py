@@ -6,7 +6,9 @@ same results whether templates resolve through the ``(class, field)``
 hash indexes or through a full bucket scan.  This drives a random op mix
 through two spaces in lockstep — one with indexes live, one with
 ``_candidate_ids`` pinned to the scan path — and requires identical
-observable behaviour at every step.
+observable behaviour at every step.  The mix includes WAL-replay style
+inserts (``_restore``) whose ids arrive out of order, as a log in commit
+order delivers them: both paths must still serve in id (FIFO) order.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.runtime import SimulatedRuntime
 from repro.tuplespace import JavaSpace, TransactionManager
+from repro.tuplespace.lease import FOREVER
+from repro.util.codec import encode_entry
 from tests.tuplespace.entries import TaskEntry
 
 apps = st.sampled_from(["a", "b", "c"])
@@ -30,6 +34,10 @@ ops = st.lists(
         st.tuples(st.just("take_multiple"), maybe(apps), st.integers(1, 4)),
         st.tuples(st.just("txn_take"), maybe(apps), st.booleans()),
         st.tuples(st.just("sleep"), st.just(60.0)),
+        st.tuples(st.just("restore"),
+                  st.permutations(range(4)),
+                  st.lists(st.tuples(apps, task_ids), min_size=4,
+                           max_size=4)),
     ),
     max_size=30,
 )
@@ -92,6 +100,17 @@ def test_indexed_results_equal_scan_results(ops):
                         txn.commit()
                     else:
                         txn.abort()
+            elif kind == "restore":
+                # Four fresh ids replayed in a shuffled order (a log in
+                # commit order), into both spaces alike.
+                _, order, fields = op
+                base = indexed._last_id + 1
+                for k in order:
+                    app, task_id = fields[k]
+                    data = encode_entry(TaskEntry(app, task_id, seq + k))
+                    for space in (indexed, scanned):
+                        space._restore(base + k, data, FOREVER)
+                seq += 4
             else:  # sleep: expire short leases in both spaces at once
                 runtime.sleep(op[1])
         # Final drain: the remaining FIFO order must agree exactly.

@@ -25,6 +25,7 @@ from repro.tuplespace.wal import (
     op_take,
     op_write,
 )
+from tests.tuplespace.entries import TaskEntry
 
 
 class Point(Entry):
@@ -144,6 +145,37 @@ def test_committed_txn_survives_recovery(runtime):
     run(runtime, scenario)
     recovered = DurableSpace.recover(runtime, store)
     assert committed_points(recovered) == [(2, 2)]
+
+
+def test_replay_keeps_fifo_order_across_out_of_order_commits(runtime):
+    """A transaction's write committed after a later plain write reaches
+    the log second; every replayed space still scans in id order."""
+    store = WalStore()
+    primary = DurableSpace(runtime, wal=WriteAheadLog(store),
+                           snapshot_every=None)
+    standby = DurableSpace(runtime, snapshot_every=None)
+    primary.wal.subscribe(standby.apply_commit)
+    templates = [TaskEntry(), TaskEntry(app="a"), TaskEntry(app="a", payload=0)]
+
+    def scenario():
+        for space in (primary, standby):
+            # Activate the (app) and (payload) indexes before any write so
+            # replay maintains them incrementally.
+            for template in templates[1:]:
+                space.read(template, timeout_ms=0.0)
+        txn = TransactionManager(runtime).create()
+        primary.write(TaskEntry("a", 1, 0), txn=txn)   # id 1
+        primary.write(TaskEntry("a", 2, 0))            # id 2, commits first
+        txn.commit()
+
+    run(runtime, scenario)
+    assert [r.ops[0][1] for r in store.records] == [2, 1]
+    recovered = DurableSpace.recover(runtime, store)
+    for space in (primary, recovered, standby):
+        for template in templates:
+            assert space.read(template, timeout_ms=0.0).task_id == 1
+    for space in (recovered, standby):
+        assert [t.task_id for t in space.contents(TaskEntry(app="a"))] == [1, 2]
 
 
 def test_snapshot_plus_tail_recovery(runtime):
